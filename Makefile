@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci nightly fmt vet staticcheck build test test-full test-chaos bench bench-smoke bench-allocs bench-record fuzz-smoke fuzz-nightly smoke smoke-cluster smoke-chaos
+.PHONY: ci nightly fmt vet staticcheck build test test-perfbench test-full test-chaos bench bench-smoke bench-allocs bench-record fuzz-smoke fuzz-nightly smoke smoke-cluster smoke-chaos
 
-ci: fmt vet staticcheck build test fuzz-smoke bench-smoke bench-allocs smoke smoke-cluster smoke-chaos
+ci: fmt vet staticcheck build test test-perfbench fuzz-smoke bench-smoke bench-allocs smoke smoke-cluster smoke-chaos
 
 nightly: test-full test-chaos fuzz-nightly
 
@@ -40,6 +40,11 @@ build:
 test:
 	$(GO) test -short -race ./...
 
+# perfbench is a module of its own, out of reach of ./...: its test runs
+# every benchmark workload at a tiny size and checks the pinned digests.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
+
 # The full suite includes the figure-scale experiment tests and the
 # sampled-vs-exact statistical validation grid (~minutes).
 test-full:
@@ -70,17 +75,20 @@ bench-allocs:
 bench-record:
 	./scripts/bench.sh BENCH_after.json
 
-# Short fuzz pass over both trace decoders: corrupt/truncated input
-# must return wrapped errors (ErrBadFormat, io.ErrUnexpectedEOF) and
-# never panic. Go runs one fuzz target per invocation.
+# Short fuzz pass over both trace decoders (corrupt/truncated input
+# must return wrapped errors, ErrBadFormat or io.ErrUnexpectedEOF, and
+# never panic) and over the paged coherence directory against its map
+# model. Go runs one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDirTable$$' -fuzztime 5s ./internal/coherence
 
 # The nightly workflow's longer fuzz pass.
 fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 60s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 60s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDirTable$$' -fuzztime 60s ./internal/coherence
 
 # End-to-end daemon smoke: start smsd, submit a job, poll it to
 # completion, cancel a second one.

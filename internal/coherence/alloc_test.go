@@ -48,16 +48,22 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 
 func TestDirTableSteadyStateZeroAllocs(t *testing.T) {
 	tb := newDirTable()
-	const keys = 40_000 // forces several growth rehashes during prewarm
-	for k := uint64(0); k < keys; k++ {
-		tb.getOrInsert(k).sharers = k
+	// Three units on each of 2048 pages: prewarm grows the index four
+	// times and fills 32 slabs.
+	const units = 3 * 2048
+	bn := func(k uint64) uint64 { return k/3<<dirPageBits | k%3*11 }
+	for k := uint64(0); k < units; k++ {
+		tb.getOrInsert(bn(k)).sharers = k + 1
+	}
+	if len(tb.slots) <= dirInitialSlots {
+		t.Fatalf("prewarm left the index at %d slots; it must grow", len(tb.slots))
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		for k := uint64(0); k < keys; k++ {
-			if e := tb.get(k); e == nil || e.sharers != k {
+		for k := uint64(0); k < units; k++ {
+			if e := tb.get(bn(k)); e == nil || e.sharers != k+1 {
 				t.Fatal("directory entry lost")
 			}
-			tb.getOrInsert(k)
+			tb.getOrInsert(bn(k))
 		}
 	})
 	if allocs != 0 {

@@ -32,6 +32,10 @@ import (
 // distinguished: the paper's baseline 64 B coherence unit.
 const subUnit = 64
 
+// maxSubUnits bounds the sub-units per coherence unit to the width of
+// dirEntry.writtenSubs, capping the coherence unit at 8 kB.
+const maxSubUnits = 128
+
 // Config describes the coherent memory system.
 type Config struct {
 	// CPUs is the number of processors (paper: 16).
@@ -67,6 +71,9 @@ func (c Config) Validate() error {
 	}
 	if c.L1.BlockSize != c.L2.BlockSize {
 		return fmt.Errorf("coherence: L1 block %d != L2 block %d", c.L1.BlockSize, c.L2.BlockSize)
+	}
+	if c.L1.BlockSize > subUnit*maxSubUnits {
+		return fmt.Errorf("coherence: block %d exceeds the %d B maximum coherence unit", c.L1.BlockSize, subUnit*maxSubUnits)
 	}
 	return nil
 }
@@ -190,8 +197,24 @@ type dirEntry struct {
 	// write and have not re-acquired it.
 	invalidated uint64
 	// writtenSubs accumulates the 64 B sub-units written since the
-	// oldest outstanding invalidation.
-	writtenSubs uint64
+	// oldest outstanding invalidation, one bit per sub-unit.
+	writtenSubs [maxSubUnits / 64]uint64
+}
+
+// written reports whether sub-unit sub was written since the oldest
+// outstanding invalidation.
+func (e *dirEntry) written(sub uint) bool { return e.writtenSubs[sub>>6]&(1<<(sub&63)) != 0 }
+
+// write records a write to sub-unit sub.
+func (e *dirEntry) write(sub uint) { e.writtenSubs[sub>>6] |= 1 << (sub & 63) }
+
+// reacquire clears cpu's pending invalidation; once none is left the
+// written sub-units are forgotten.
+func (e *dirEntry) reacquire(cpu int) {
+	e.invalidated &^= 1 << uint(cpu)
+	if e.invalidated == 0 {
+		e.writtenSubs = [maxSubUnits / 64]uint64{}
+	}
 }
 
 // System is the coherent multiprocessor memory system.
@@ -312,22 +335,17 @@ func (s *System) AccessInto(res *AccessResult, cpu int, a mem.Addr, write bool) 
 // in L1 (coherence/false-sharing classification, sharer registration).
 // r1 is the already-performed L1 access outcome.
 func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, r1 cache.Result, l1, l2 *cache.Cache) {
-	bn := s.blockNum(a)
-	e := s.dir.get(bn)
+	e := s.dir.getOrInsert(s.blockNum(a))
 
 	// Classify coherence/false-sharing state. The original ordering ran
 	// this before the L1 access; the two touch disjoint state (the
 	// directory entry vs. the cache arrays), so classifying after the
-	// cache update observes identical values.
-	if e != nil && e.invalidated&(1<<uint(cpu)) != 0 {
+	// cache update observes identical values. An absent unit's entry is
+	// zero, so it classifies as no coherence miss.
+	if e.invalidated&(1<<uint(cpu)) != 0 {
 		res.CoherenceMiss = true
-		if e.writtenSubs&(1<<s.subOf(a)) == 0 {
-			res.FalseSharing = true
-		}
-		e.invalidated &^= 1 << uint(cpu)
-		if e.invalidated == 0 {
-			e.writtenSubs = 0
-		}
+		res.FalseSharing = !e.written(s.subOf(a))
+		e.reacquire(cpu)
 	}
 
 	res.L1Hit = r1.Hit
@@ -352,13 +370,10 @@ func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, 
 	}
 
 	// Directory bookkeeping.
-	if e == nil {
-		e = s.dir.getOrInsert(bn)
-	}
 	e.sharers |= 1 << uint(cpu)
 	if write {
 		res.Invalidations = s.invalidateRemote(cpu, a, e)
-		e.writtenSubs |= 1 << s.subOf(a)
+		e.write(s.subOf(a))
 	}
 }
 
@@ -450,16 +465,12 @@ func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL1 = append(s.strEvL1[:0], r.Victim)
 		res.L1Evictions = s.strEvL1
 	}
-	bn := s.blockNum(a)
-	e := s.dir.getOrInsert(bn)
+	e := s.dir.getOrInsert(s.blockNum(a))
 	// A streamed read copy clears any pending invalidation state for
 	// this CPU: the prefetch re-acquired the block.
 	e.sharers |= 1 << uint(cpu)
 	if e.invalidated&(1<<uint(cpu)) != 0 {
-		e.invalidated &^= 1 << uint(cpu)
-		if e.invalidated == 0 {
-			e.writtenSubs = 0
-		}
+		e.reacquire(cpu)
 	}
 }
 
@@ -484,8 +495,7 @@ func (s *System) L2StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL2 = append(s.strEvL2[:0], r2.Victim)
 		res.L2Evictions = s.strEvL2
 	}
-	bn := s.blockNum(a)
-	e := s.dir.getOrInsert(bn)
+	e := s.dir.getOrInsert(s.blockNum(a))
 	e.sharers |= 1 << uint(cpu)
 }
 

@@ -150,6 +150,46 @@ func TestFalseSharingClassification(t *testing.T) {
 	}
 }
 
+func TestSharingAboveSixtyFourSubUnits(t *testing.T) {
+	// 8 kB coherence units have 128 sub-units. CPU 1 reads sub-unit 70,
+	// CPU 0 writes that same sub-unit: the re-read is true sharing.
+	s := smallSys(2, 8192)
+	s.Access(1, 70*subUnit, false)
+	s.Access(0, 70*subUnit, true)
+	r := s.Access(1, 70*subUnit, false)
+	if !r.CoherenceMiss || r.FalseSharing {
+		t.Fatalf("true sharing on sub-unit 70 misclassified: %+v", r)
+	}
+
+	// A write to sub-unit 6 (70 mod 64) leaves sub-unit 70 untouched:
+	// the re-read is false sharing.
+	s = smallSys(2, 8192)
+	s.Access(1, 70*subUnit, false)
+	s.Access(0, 6*subUnit, true)
+	r = s.Access(1, 70*subUnit, false)
+	if !r.CoherenceMiss || !r.FalseSharing {
+		t.Fatalf("false sharing on sub-unit 70 misclassified: %+v", r)
+	}
+}
+
+func TestConfigValidateRejectsUnitsAbove8K(t *testing.T) {
+	cfg := Config{
+		CPUs: 2,
+		L1:   cache.Config{Size: 64 << 10, Assoc: 2, BlockSize: 8192},
+		L2:   cache.Config{Size: 256 << 10, Assoc: 4, BlockSize: 8192},
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("8 kB units rejected: %v", err)
+	}
+	cfg.L1.BlockSize, cfg.L2.BlockSize = 16384, 16384
+	if cfg.Validate() == nil {
+		t.Fatal("16 kB units accepted; the written-sub-unit mask holds 128 sub-units")
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted 16 kB units")
+	}
+}
+
 func TestFalseSharingMixedWrites(t *testing.T) {
 	// If any interim write touched the reader's sub-unit, it is true
 	// sharing even if other sub-units were also written.

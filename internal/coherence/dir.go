@@ -1,115 +1,146 @@
 package coherence
 
-import (
-	"math/bits"
+import "repro/internal/mem"
 
-	"repro/internal/mem"
-)
-
-// dirTable is the coherence directory: an open-addressed, linear-probing
-// hash table from coherence-unit block numbers to directory entries,
-// stored inline. It replaces the previous map[uint64]*dirEntry, which
-// cost a pointer-chasing map lookup plus one heap-allocated entry per
-// live coherence unit on the per-record hot path. Entries are never
-// retired (a unit's sharer history stays relevant for false-sharing
-// classification), so the table only ever grows; steady state performs
-// zero allocations.
+// dirTable is the coherence directory, paged by spatial region. A page
+// holds the entries of dirPageUnits consecutive coherence units (one
+// 2 kB region at 64 B units), so the units a region's generation,
+// stream fill or scan touches share one page, and the table hashes page
+// numbers rather than unit numbers.
 //
-// Keys and entries live in parallel arrays: probing walks the dense key
-// array (eight keys per cache line) and touches an entry only on a match,
-// which matters once scan-dominated workloads (DSS touches every page
-// once) push the table past the LLC. Keys are stored as key+1 with 0
-// meaning empty — block numbers are addresses shifted right by the block
-// bits, so key+1 cannot wrap.
+// Pages are carved from fixed-size slabs that are never moved or freed:
+// only the small page-number index (an open-addressed, linear-probing
+// table of page pointers) ever rehashes, and an entry pointer returned
+// by get or getOrInsert stays valid for the table's lifetime. getOrInsert,
+// the only lookup on the simulation path, memoizes the last page it
+// found and skips even the index while consecutive lookups stay within
+// one region, as stream fills and scans do.
 //
-// Entry pointers returned by get/getOrInsert are valid until the next
-// insert (a growth rehash moves entries).
+// Entries are never retired (a unit's sharer history stays relevant for
+// false-sharing classification), so the table only grows; steady state
+// performs zero allocations. A unit is present exactly when its entry
+// has a sharer bit set: every insert is followed by setting the
+// requester's bit, and only remote bits are ever cleared.
 type dirTable struct {
-	keys []uint64 // key+1; 0 = empty slot
-	ents []dirEntry
-	mask uint64
-	n    int // used slots
-	grow int // insert threshold (load factor 0.7)
+	slots []dirSlot
+	mask  uint64
+	n     int // pages in the index
+	grow  int // insert threshold (load factor 0.7)
+
+	slab []dirPage // unused tail of the current slab
+
+	lastPN   uint64 // page number of lastPage; all ones before the first lookup
+	lastPage *dirPage
 }
 
-// dirInitialSlots sizes the empty table; it must be a power of two. 4096
-// slots cover a ~1 MB working set of 64 B units before the first rehash;
-// growth is 4x per rehash, keeping total rehash work near 1.33n for
-// insert-heavy scan workloads.
-const dirInitialSlots = 4096
+// dirPageBits sets the page size: 32 units per page. At 200k records a
+// 2 kB page holds 22–32 touched units for the OLTP, DSS and scientific
+// traces and about 8 for web.
+const (
+	dirPageBits  = 5
+	dirPageUnits = 1 << dirPageBits
+)
+
+// dirPage holds the entries of one region's coherence units.
+type dirPage [dirPageUnits]dirEntry
+
+// dirSlot is one index slot. Keys are stored as page number + 1 with 0
+// meaning empty; page numbers are block numbers shifted right by
+// dirPageBits, so the key cannot wrap.
+type dirSlot struct {
+	key  uint64
+	page *dirPage
+}
+
+// dirSlabPages is the number of pages allocated at once (64 kB at 32 B
+// entries). dirInitialSlots sizes the empty index (a power of two); 256
+// slots hold 179 pages before the first growth.
+const (
+	dirSlabPages    = 64
+	dirInitialSlots = 256
+)
 
 func newDirTable() dirTable {
 	return dirTable{
-		keys: make([]uint64, dirInitialSlots),
-		ents: make([]dirEntry, dirInitialSlots),
-		mask: dirInitialSlots - 1,
-		grow: dirInitialSlots * 7 / 10,
+		slots: make([]dirSlot, dirInitialSlots),
+		mask:  dirInitialSlots - 1,
+		grow:  dirInitialSlots * 7 / 10,
+		// Page numbers are block numbers shifted right by dirPageBits, so
+		// none reaches the all-ones value.
+		lastPN: ^uint64(0),
 	}
 }
 
-// dirHash mixes the block number so that dense block sequences spread
-// over the table (block numbers are sequential for streaming workloads).
-func dirHash(key uint64) uint64 { return mem.HashKey(key) }
-
-// get returns the entry for key, or nil if absent.
-func (t *dirTable) get(key uint64) *dirEntry {
-	i := dirHash(key) & t.mask
-	k := key + 1
+// slot returns the index slot holding key, or the empty slot where it
+// would be inserted.
+func (t *dirTable) slot(key uint64) *dirSlot {
+	i := mem.HashKey(key) & t.mask
 	for {
-		c := t.keys[i]
-		if c == 0 {
-			return nil
-		}
-		if c == k {
-			return &t.ents[i]
+		s := &t.slots[i]
+		if s.key == key || s.key == 0 {
+			return s
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// getOrInsert returns the entry for key, inserting a zero entry if
-// absent. The pointer is valid until the next insert.
-func (t *dirTable) getOrInsert(key uint64) *dirEntry {
+// get returns the entry for block number bn, or nil if absent.
+func (t *dirTable) get(bn uint64) *dirEntry {
+	s := t.slot(bn>>dirPageBits + 1)
+	if s.key == 0 {
+		return nil
+	}
+	e := &s.page[bn&(dirPageUnits-1)]
+	if e.sharers == 0 {
+		return nil
+	}
+	return e
+}
+
+// getOrInsert returns the entry for block number bn; an absent unit's
+// entry is zero, and the caller inserts it by setting a sharer bit. The
+// memo hit is kept small enough to inline into the callers.
+func (t *dirTable) getOrInsert(bn uint64) *dirEntry {
+	if bn>>dirPageBits == t.lastPN {
+		return &t.lastPage[bn&(dirPageUnits-1)]
+	}
+	return t.getOrInsertPage(bn)
+}
+
+// getOrInsertPage is getOrInsert past a memo miss: it finds bn's page,
+// inserting it if absent, and memoizes it.
+func (t *dirTable) getOrInsertPage(bn uint64) *dirEntry {
+	pn := bn >> dirPageBits
+	s := t.slot(pn + 1)
+	if s.key == 0 {
+		s.key, s.page = pn+1, t.newPage()
+		t.n++
+	}
+	t.lastPN, t.lastPage = pn, s.page
 	if t.n >= t.grow {
-		t.rehash(len(t.keys) * 4)
+		t.rehash()
 	}
-	i := dirHash(key) & t.mask
-	k := key + 1
-	for {
-		c := t.keys[i]
-		if c == 0 {
-			t.keys[i] = k
-			t.n++
-			return &t.ents[i]
-		}
-		if c == k {
-			return &t.ents[i]
-		}
-		i = (i + 1) & t.mask
-	}
+	return &t.lastPage[bn&(dirPageUnits-1)]
 }
 
-// len returns the number of live entries.
-func (t *dirTable) len() int { return t.n }
-
-func (t *dirTable) rehash(newSize int) {
-	if newSize&(newSize-1) != 0 {
-		newSize = 1 << bits.Len(uint(newSize))
+func (t *dirTable) newPage() *dirPage {
+	if len(t.slab) == 0 {
+		t.slab = make([]dirPage, dirSlabPages)
 	}
-	oldKeys, oldEnts := t.keys, t.ents
-	t.keys = make([]uint64, newSize)
-	t.ents = make([]dirEntry, newSize)
-	t.mask = uint64(newSize - 1)
-	t.grow = newSize * 7 / 10
-	for oi, k := range oldKeys {
-		if k == 0 {
-			continue
+	p := &t.slab[0]
+	t.slab = t.slab[1:]
+	return p
+}
+
+// rehash doubles the index. Pages stay where they are.
+func (t *dirTable) rehash() {
+	old := t.slots
+	t.slots = make([]dirSlot, 2*len(old))
+	t.mask = uint64(len(t.slots) - 1)
+	t.grow = len(t.slots) * 7 / 10
+	for _, s := range old {
+		if s.key != 0 {
+			*t.slot(s.key) = s
 		}
-		i := dirHash(k-1) & t.mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & t.mask
-		}
-		t.keys[i] = k
-		t.ents[i] = oldEnts[oi]
 	}
 }

@@ -173,16 +173,24 @@ func (c *refCache) invalidate(a mem.Addr) cache.InvalidateResult {
 	return cache.InvalidateResult{}
 }
 
+// refEntry is the reference directory entry: one flag per written
+// 64 B sub-unit instead of a bitmask, so no unit size outgrows it.
+type refEntry struct {
+	sharers     uint64
+	invalidated uint64
+	written     map[uint]bool
+}
+
 // refSystem is the old map-backed coherent system, verbatim semantics.
 type refSystem struct {
 	cfg      Config
 	l1s, l2s []*refCache
-	dir      map[uint64]*dirEntry
+	dir      map[uint64]*refEntry
 	subsPer  int
 }
 
 func newRefSystem(cfg Config) *refSystem {
-	s := &refSystem{cfg: cfg, dir: map[uint64]*dirEntry{}, subsPer: cfg.L1.BlockSize / subUnit}
+	s := &refSystem{cfg: cfg, dir: map[uint64]*refEntry{}, subsPer: cfg.L1.BlockSize / subUnit}
 	if s.subsPer < 1 {
 		s.subsPer = 1
 	}
@@ -214,12 +222,12 @@ func (s *refSystem) access(cpu int, a mem.Addr, write bool) AccessResult {
 	e := s.dir[bn]
 	if e != nil && e.invalidated&(1<<uint(cpu)) != 0 {
 		res.CoherenceMiss = true
-		if e.writtenSubs&(1<<s.subOf(a)) == 0 {
+		if !e.written[s.subOf(a)] {
 			res.FalseSharing = true
 		}
 		e.invalidated &^= 1 << uint(cpu)
 		if e.invalidated == 0 {
-			e.writtenSubs = 0
+			e.written = map[uint]bool{}
 		}
 	}
 	r1 := s.l1s[cpu].access(a, write)
@@ -241,7 +249,7 @@ func (s *refSystem) access(cpu int, a mem.Addr, write bool) AccessResult {
 		}
 	}
 	if e == nil {
-		e = &dirEntry{}
+		e = &refEntry{written: map[uint]bool{}}
 		s.dir[bn] = e
 	}
 	e.sharers |= 1 << uint(cpu)
@@ -270,7 +278,7 @@ func (s *refSystem) access(cpu int, a mem.Addr, write bool) AccessResult {
 			e.sharers &^= 1 << uint(cpuBit)
 			e.invalidated |= 1 << uint(cpuBit)
 		}
-		e.writtenSubs |= 1 << s.subOf(a)
+		e.written[s.subOf(a)] = true
 	}
 	return res
 }
@@ -293,14 +301,14 @@ func (s *refSystem) stream(cpu int, a mem.Addr) StreamResult {
 	bn := s.blockNum(a)
 	e := s.dir[bn]
 	if e == nil {
-		e = &dirEntry{}
+		e = &refEntry{written: map[uint]bool{}}
 		s.dir[bn] = e
 	}
 	e.sharers |= 1 << uint(cpu)
 	if e.invalidated&(1<<uint(cpu)) != 0 {
 		e.invalidated &^= 1 << uint(cpu)
 		if e.invalidated == 0 {
-			e.writtenSubs = 0
+			e.written = map[uint]bool{}
 		}
 	}
 	return res
@@ -318,7 +326,7 @@ func (s *refSystem) l2Stream(cpu int, a mem.Addr) StreamResult {
 	bn := s.blockNum(a)
 	e := s.dir[bn]
 	if e == nil {
-		e = &dirEntry{}
+		e = &refEntry{written: map[uint]bool{}}
 		s.dir[bn] = e
 	}
 	e.sharers |= 1 << uint(cpu)
@@ -372,6 +380,8 @@ func TestSystemMatchesMapReference(t *testing.T) {
 		{CPUs: 4, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 64}},
 		{CPUs: 3, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 256}, L2: cache.Config{Size: 16384, Assoc: 8, BlockSize: 256}},
 		{CPUs: 8, L1: cache.Config{Size: 1024, Assoc: 1, BlockSize: 64}, L2: cache.Config{Size: 4096, Assoc: 2, BlockSize: 64}},
+		// 8 kB units: 128 sub-units, half of them above a 64-bit mask.
+		{CPUs: 4, L1: cache.Config{Size: 32768, Assoc: 2, BlockSize: 8192}, L2: cache.Config{Size: 65536, Assoc: 4, BlockSize: 8192}},
 	}
 	for ci, cfg := range configs {
 		sys := MustNew(cfg)
@@ -405,7 +415,7 @@ func TestSystemMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
-		if got, want := sys.dir.len(), len(ref.dir); got != want {
+		if got, want := dirUnits(&sys.dir), len(ref.dir); got != want {
 			t.Fatalf("cfg %d: directory size %d, reference %d", ci, got, want)
 		}
 	}

@@ -52,7 +52,11 @@ import (
 // sampling scope, changing both hashed serializations. Exact results are
 // unchanged, but pre-/3 store objects are unreachable under the new
 // addresses.
-const VersionSalt = "sms-repro/3"
+//
+// /4: false-sharing classification tracks all 128 sub-units of an 8 kB
+// coherence unit (it dropped writes above sub-unit 63), changing Fig. 4's
+// 8 kB false-sharing cells. Results at units up to 4 kB are unchanged.
+const VersionSalt = "sms-repro/4"
 
 // DefaultMemoryBytes bounds the in-memory LRU layer by default.
 const DefaultMemoryBytes = 64 << 20
