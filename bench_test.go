@@ -443,6 +443,36 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGenerationBulk is the bulk leg of BenchmarkTraceGeneration:
+// the same generator filled in requests of 2×workload.ParallelFillRecords
+// records, which split the simulated CPUs across goroutines. ns/op is ns/record (wall time, so
+// it falls with the core count). Each fill starts its goroutines afresh;
+// the reported allocs/record metric amortizes that, and
+// scripts/bench.sh --check gates it at ≤0.01 like the pipelined legs.
+func BenchmarkTraceGenerationBulk(b *testing.B) {
+	w, err := workload.ByName("oltp-db2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := trace.Batched(w.Make(workload.Config{CPUs: 4, Seed: 1, Length: 1 << 62}))
+	batch := make([]trace.Record, 2*workload.ParallelFillRecords)
+	src.NextBatch(batch) // prewarm: actor queues reach their working size
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for left := b.N; left > 0; {
+		n := min(len(batch), left)
+		if n = src.NextBatch(batch[:n]); n == 0 {
+			b.Fatal("source exhausted")
+		}
+		left -= n
+	}
+	b.StopTimer()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/record")
+}
+
 // BenchmarkTraceReplay is the replay half of the replay-vs-generate
 // comparison (BenchmarkTraceGeneration is the other half, over the same
 // workload): records/second decoded from an mmap'd v2 trace file

@@ -101,7 +101,7 @@ func main() {
 	flag.Uint64Var(&o.length, "length", 1_200_000, "accesses per workload trace (half is warm-up)")
 	flag.IntVar(&o.parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	flag.IntVar(&o.runPar, "run-parallel", 0, "region-sharded simulation lanes inside each run (0/1 = serial; results are bit-identical, shares the -parallel budget)")
-	flag.IntVar(&o.ahead, "decode-ahead", 0, "decode each run's trace this many batches ahead of the simulator (0 = inline)")
+	flag.IntVar(&o.ahead, "decode-ahead", 0, "decode each run's trace this many batches ahead of the simulator (0 = automatic: ahead for generator and v1 sources on more than one core)")
 	flag.BoolVar(&o.quick, "quick", false, "abbreviated runs (overrides -cpus/-length)")
 	flag.DurationVar(&o.grace, "shutdown-deadline", 15*time.Second, "bound on graceful shutdown: in-flight simulations are cancelled, not drained")
 	flag.StringVar(&o.journalPath, "journal", "", "durable job journal path: jobs survive a kill and are recovered on restart (empty: journaling off)")

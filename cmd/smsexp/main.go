@@ -56,7 +56,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		length   = fs.Uint64("length", 1_200_000, "accesses per workload trace (half is warm-up)")
 		parallel = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		runPar   = fs.Int("run-parallel", 0, "region-sharded simulation lanes inside each run (0/1 = serial; results are bit-identical, shares the -parallel budget)")
-		ahead    = fs.Int("decode-ahead", 0, "decode each run's trace this many batches ahead of the simulator (0 = inline)")
+		ahead    = fs.Int("decode-ahead", 0, "decode each run's trace this many batches ahead of the simulator (0 = automatic: ahead for generator and v1 sources on more than one core)")
 		quick    = fs.Bool("quick", false, "abbreviated runs (overrides -cpus/-length)")
 		storeDir = fs.String("store", "", "persistent result store directory (reused across runs and by smsd)")
 		traceOut = fs.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")

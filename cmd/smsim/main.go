@@ -48,7 +48,7 @@ func main() {
 		ghbEntries = flag.Int("ghb-entries", 256, "GHB history buffer entries")
 		storeDir   = flag.String("store", "", "persistent result store directory (shared with smsexp/smsd)")
 		runPar     = flag.Int("run-parallel", 0, "region-sharded simulation lanes inside the run (0/1 = serial; results are bit-identical)")
-		ahead      = flag.Int("decode-ahead", 0, "decode the trace this many batches ahead of the simulator (0 = inline)")
+		ahead      = flag.Int("decode-ahead", 0, "decode the trace this many batches ahead of the simulator (0 = automatic: ahead for generator and v1 sources on more than one core)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 		traceOut   = flag.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")

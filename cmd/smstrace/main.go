@@ -161,10 +161,12 @@ func fileWriter(path string, version int, hdr trace.Header) (recordWriter, func(
 	}, nil
 }
 
-// copyRecords streams up to n records (n == 0: all) from src to w.
+// copyRecords streams up to n records (n == 0: all) from src to w. It
+// pulls chunks of workload.ParallelFillRecords, so a generator source
+// fills each one on every available core.
 func copyRecords(src trace.Source, w recordWriter, n uint64) (uint64, error) {
 	bs := trace.Batched(src)
-	buf := make([]trace.Record, 4096)
+	buf := make([]trace.Record, workload.ParallelFillRecords)
 	var copied uint64
 	for n == 0 || copied < n {
 		want := uint64(len(buf))

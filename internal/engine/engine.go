@@ -51,8 +51,9 @@ type Config struct {
 	// execution tuning and never enter the run's store identity.
 	RunParallel int
 	// DecodeAhead decodes each run's trace source up to this many
-	// batches ahead of its simulator on a dedicated goroutine (0 = off,
-	// decode stays inline; sim.Exec.DecodeAhead).
+	// batches ahead of its simulator on a dedicated goroutine (0 =
+	// RunContext's default: ahead for sources that decode on demand when
+	// more than one core is available; sim.Exec.DecodeAhead).
 	DecodeAhead int
 	// Store optionally persists results across processes. Completed runs
 	// are written through; cancelled or failed runs never touch it.
@@ -500,7 +501,10 @@ func (e *Engine) Execute(ctx context.Context, plan Plan) (*Grid, error) {
 			emit(Event{Kind: RunStarted})
 			cc.started = true
 			e.customs.Add(1)
-			cc.val, cc.err = cu.Run(ctx)
+			var w workload.Workload
+			if w, cc.err = workload.ByName(cu.Workload); cc.err == nil {
+				cc.val, cc.err = cu.Run(ctx, e.openTrace(ctx, w))
+			}
 			if cc.err != nil {
 				emit(Event{Kind: RunFailed, Err: cc.err})
 				return

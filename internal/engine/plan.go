@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Plan is a declarative grid of simulations: the cross product of
@@ -68,9 +69,11 @@ type Custom struct {
 	// Workload and Key are the cell's grid coordinates (Grid.Custom).
 	Workload string
 	Key      string
-	// Run computes the cell. It must honor ctx: return promptly with
-	// ctx.Err() once cancelled.
-	Run func(ctx context.Context) (any, error)
+	// Run computes the cell from src, the cell workload's trace served
+	// the way the engine serves its variant cells (memo, disk tier or
+	// generator). It must honor ctx: return promptly with ctx.Err() once
+	// cancelled.
+	Run func(ctx context.Context, src trace.Source) (any, error)
 }
 
 // WithVariant appends a variant built from key and cfg; it returns the

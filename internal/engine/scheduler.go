@@ -11,7 +11,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -104,19 +103,8 @@ func (l localScheduler) Schedule(ctx context.Context, spec RunSpec, emit func(Ev
 		emit(Event{Kind: RunProgress, Records: records})
 	})
 	e.sims.Add(1)
-	tr := obs.TracerFrom(ctx)
-	track := obs.TrackFrom(ctx)
-	t0 := time.Now()
-	src, generated := e.traceSource(w)
-	if generated {
-		e.generations.Add(1)
-		tr.Add("trace-generate", "engine", track, t0, time.Now())
-	} else {
-		// Memo/mmap replay: the source opens here in O(1); decode time
-		// lands inside the run span (and the sim phase spans).
-		tr.Add("trace-open", "engine", track, t0, time.Now())
-	}
-	runSpan := tr.Start("run", "engine", track)
+	src := e.openTrace(ctx, w)
+	runSpan := obs.TracerFrom(ctx).Start("run", "engine", obs.TrackFrom(ctx))
 	res, err := runner.RunContext(ctx, src)
 	runSpan.End()
 	e.harvestPipeline(runner.PipelineStats())

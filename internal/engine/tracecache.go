@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"sync"
+	"time"
 	"unsafe"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -117,6 +120,22 @@ func (e *Engine) traceSource(w workload.Workload) (trace.Source, bool) {
 		return w.Make(cfg), true
 	}
 	return e.generate(w, cfg)
+}
+
+// openTrace returns the trace source of one cell over w (traceSource),
+// counting a generation when it ran the generator and tracing the open.
+func (e *Engine) openTrace(ctx context.Context, w workload.Workload) trace.Source {
+	t0 := time.Now()
+	src, generated := e.traceSource(w)
+	// Memo/mmap replay opens in O(1); its decode time lands inside the
+	// run span (and the sim phase spans).
+	span := "trace-open"
+	if generated {
+		e.generations.Add(1)
+		span = "trace-generate"
+	}
+	obs.TracerFrom(ctx).Add(span, "engine", obs.TrackFrom(ctx), t0, time.Now())
+	return src
 }
 
 // tierKey is the disk-tier content address of the engine's workload

@@ -63,6 +63,60 @@ func TestTraceMemoGeneratesOncePerWorkload(t *testing.T) {
 	}
 }
 
+// TestCustomCellsShareTheTraceMemo: a custom cell receives its
+// workload's trace from the same memo the variant cells replay — the
+// generator's exact record stream, with no extra generation.
+func TestCustomCellsShareTheTraceMemo(t *testing.T) {
+	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
+	w, err := workload.ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.Collect(w.Make(wcfg), 0)
+	var got []trace.Record
+	plan := Plan{
+		Name:      "custom-memo",
+		Workloads: []string{"oltp-db2"},
+		Variants:  []Variant{{Key: "none", Config: sim.Config{PrefetcherName: "none"}}},
+		Customs: []Custom{{Workload: "oltp-db2", Key: "collect",
+			Run: func(ctx context.Context, src trace.Source) (any, error) {
+				got = trace.Collect(src, 0)
+				return len(got), nil
+			}}},
+	}
+	e := New(Config{Workload: wcfg})
+	if _, err := e.Execute(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.TraceGenerations(), uint64(1); got != want {
+		t.Fatalf("trace generations = %d, want %d (custom cell shares the memo)", got, want)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("custom cell saw %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("custom cell record %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	// With the memo off, the custom cell generates its own trace and the
+	// engine counts it like a variant cell's.
+	plain := New(Config{Workload: wcfg, TraceCacheBytes: -1})
+	if _, err := plain.Execute(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plain.TraceGenerations(), uint64(2); got != want {
+		t.Fatalf("memo-disabled trace generations = %d, want %d", got, want)
+	}
+
+	bad := Plan{Name: "custom-unknown", Customs: []Custom{{Workload: "no-such-workload", Key: "c",
+		Run: func(ctx context.Context, src trace.Source) (any, error) { return nil, nil }}}}
+	if _, err := New(Config{Workload: wcfg}).Execute(context.Background(), bad); err == nil {
+		t.Fatal("custom cell over an unknown workload succeeded")
+	}
+}
+
 // TestTraceMemoBudget: a trace over budget streams from the generator
 // every time and is never cached.
 func TestTraceMemoBudget(t *testing.T) {

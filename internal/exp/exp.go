@@ -56,7 +56,9 @@ type Options struct {
 	// budget. See sim.Exec.
 	RunParallel int
 	// DecodeAhead decodes each run's trace this many batches ahead of
-	// the simulator on a pipeline goroutine (0 = inline decode).
+	// the simulator on a pipeline goroutine (0 = the default: ahead for
+	// sources that decode on demand when more than one core is
+	// available).
 	DecodeAhead int
 	// Sampling, when enabled, runs every standard plan cell in
 	// SMARTS-style sampled mode (engine.Sampled): detailed measurement

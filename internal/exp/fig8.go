@@ -8,7 +8,7 @@ import (
 	"repro/internal/nextline"
 	"repro/internal/sectored"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/trace"
 )
 
 // TrainingStructure labels the Fig. 8 variants.
@@ -66,8 +66,8 @@ func Fig8Plan(o Options) engine.Plan {
 		p.Customs = append(p.Customs, engine.Custom{
 			Workload: name,
 			Key:      string(TrainDS),
-			Run: func(ctx context.Context) (any, error) {
-				return runDS(ctx, o, name, dsCfg)
+			Run: func(ctx context.Context, src trace.Source) (any, error) {
+				return runDS(ctx, o, src, dsCfg)
 			},
 		})
 	}
@@ -124,14 +124,11 @@ type dsOutcome struct {
 	overpredictions uint64
 }
 
-// runDS drives the decoupled sectored cache study. Cancellation is
-// checked once per progress interval, mirroring sim.Runner.RunContext.
-func runDS(ctx context.Context, o Options, name string, cfg sectored.Config) (dsOutcome, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return dsOutcome{}, err
-	}
-	src := w.Make(workload.Config{CPUs: o.CPUs, Seed: o.Seed, Length: o.Length})
+// runDS drives the decoupled sectored cache study over src, the
+// workload's trace as the engine serves it to the variant cells.
+// Cancellation is checked once per progress interval, mirroring
+// sim.Runner.RunContext.
+func runDS(ctx context.Context, o Options, src trace.Source, cfg sectored.Config) (dsOutcome, error) {
 	warmup := o.Length / 2
 
 	ds := make([]*sectored.DecoupledSectored, o.CPUs)
@@ -178,6 +175,13 @@ func runDS(ctx context.Context, o Options, name string, cfg sectored.Config) (ds
 		}
 		for _, a := range d.NextStreamRequests(sim.DefaultStreamRate) {
 			d.Fill(a)
+		}
+	}
+	// A damaged disk-tier trace ends early like a clean one; its latched
+	// error keeps a partial replay from passing for a result.
+	if e, ok := src.(interface{ Err() error }); ok {
+		if err := e.Err(); err != nil {
+			return dsOutcome{}, err
 		}
 	}
 	for i, d := range ds {

@@ -322,7 +322,19 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 	srv2, ts2 := startRestartableServer(t, Config{
 		Session: sess2, Workers: 2, Experiments: fast, JournalPath: journalPath,
 	})
-	defer func() { ts2.Close(); srv2.Close(); _ = srv1 }()
+	defer func() {
+		ts2.Close()
+		srv2.Close()
+		// Release the corpse's stalled worker and let it drain before
+		// the temporary store directory is removed: it still settles
+		// its jobs into the shared store.
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+		srv1.Close()
+	}()
 
 	figDoc := pollJob(t, ts2.URL, figID)
 	if figDoc.State != JobDone || figDoc.Figure != "stalled figure" {

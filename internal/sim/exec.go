@@ -18,7 +18,9 @@ type Exec struct {
 	// DecodeAhead, when >= 2, decodes the trace source up to this many
 	// batches ahead of the simulator on a dedicated goroutine
 	// (trace.Prefetcher). 1 is rounded up to 2 (double buffering);
-	// 0 keeps decode inline with simulation.
+	// 0 keeps decode inline with simulation. A zero Exec leaves the
+	// choice to RunContext, which decodes ahead when the source decodes
+	// on demand and a second core is available.
 	DecodeAhead int
 	// Lanes, when >= 2, shards the run across that many parallel
 	// simulation lanes keyed by spatial region (rounded down to a power

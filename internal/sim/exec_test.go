@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,92 @@ func TestParallelSurfacesLatchedDecodeError(t *testing.T) {
 		}
 		if res != nil {
 			t.Fatalf("exec %+v: erring source produced a Result", x)
+		}
+	}
+}
+
+// TestAutoDecodeAheadMatchesInline: with no Exec, a run over a generator
+// decodes ahead when a second core is available and inline when not, and
+// both Results are byte-identical to a replay of the same trace from
+// memory (which never pipelines). GOMAXPROCS is set here, so a one-core
+// machine still runs the pipelined path.
+func TestAutoDecodeAheadMatchesInline(t *testing.T) {
+	w, err := workload.ByName("oltp-oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.Config{CPUs: 4, Seed: 3, Length: 30_000}
+	recs := trace.Collect(w.Make(wcfg), 0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, pf := range []string{"none", "sms"} {
+		t.Run(pf, func(t *testing.T) {
+			cfg := sim.Config{PrefetcherName: pf, WarmupAccesses: 10_001, TrackGenerations: true}
+			inMem := sim.MustNewRunner(cfg)
+			want, err := inMem.RunContext(context.Background(), trace.NewSliceSource(recs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps := inMem.PipelineStats(); ps.Lanes != 0 {
+				t.Fatalf("in-memory run pipelined: %+v", ps)
+			}
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				r := sim.MustNewRunner(cfg)
+				got, err := r.RunContext(context.Background(), w.Make(wcfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, b := resultJSON(t, want), resultJSON(t, got); a != b {
+					t.Fatalf("GOMAXPROCS=%d: generator-fed Result differs from in-memory replay:\n%s\nvs\n%s", procs, b, a)
+				}
+				if pipelined := r.PipelineStats().Lanes == 1; pipelined != (procs > 1) {
+					t.Fatalf("GOMAXPROCS=%d: pipelined = %v", procs, pipelined)
+				}
+			}
+		})
+	}
+}
+
+// TestAutoDecodeAheadCancellation: cancelling an auto-pipelined run
+// returns the context error and stops the decoder before RunContext
+// returns, leaving no goroutine behind.
+func TestAutoDecodeAheadCancellation(t *testing.T) {
+	w, err := workload.ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := runtime.NumGoroutine()
+	r := sim.MustNewRunner(sim.Config{WarmupAccesses: 10_000})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r.OnProgress(4096, func(records uint64) {
+		if records > 20_000 {
+			cancel()
+		}
+	})
+	res, err := r.RunContext(ctx, w.Make(workload.Config{CPUs: 4, Seed: 1, Length: 1 << 40}))
+	if err != context.Canceled || res != nil {
+		t.Fatalf("RunContext = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if r.PipelineStats().Lanes != 1 {
+		t.Fatal("run was not pipelined")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the run, %d after: the decoder outlived it", before, after)
+	}
+}
+
+// TestAutoDecodeAheadSurfacesLatchedError: the latched error of an
+// on-demand source fails an auto-pipelined run as it fails an inline one.
+func TestAutoDecodeAheadSurfacesLatchedError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		r := sim.MustNewRunner(sim.Config{WarmupAccesses: 100})
+		res, err := r.RunContext(context.Background(), &erringSource{n: 10_000, fail: trace.ErrBadFormat})
+		if err == nil || !strings.Contains(err.Error(), "trace source failed mid-stream") || res != nil {
+			t.Fatalf("GOMAXPROCS=%d: RunContext = %v, %v; want the latched decode error", procs, res, err)
 		}
 	}
 }

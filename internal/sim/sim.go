@@ -30,6 +30,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/coherence"
 	"repro/internal/core"
@@ -302,6 +303,22 @@ func (r *Runner) Run(src trace.Source) *Result {
 // per-record loop delivered them.
 const DefaultBatchRecords = 4096
 
+// autoAheadRecords is the batch size of the decode-ahead ring RunContext
+// puts in front of on-demand sources when no Exec is set. Its three
+// buffers weigh 1.5x the inline path's one batch; smaller buffers hand
+// off more often and measured slower.
+const autoAheadRecords = 2048
+
+// decodesOnDemand reports whether an exact run with no Exec decodes src
+// ahead of the simulator by default: when src computes its records as it
+// is read (generators, v1 trace readers) rather than serving them from
+// memory or a mapping (trace.ViewSource), and a second core is there to
+// run the decoder.
+func decodesOnDemand(src trace.Source) bool {
+	_, isView := src.(trace.ViewSource)
+	return !isView && runtime.GOMAXPROCS(0) > 1
+}
+
 // RunContext drives src until exhaustion or cancellation, checking ctx
 // and invoking any OnProgress callback once per progress interval. On
 // cancellation it returns ctx's error and a nil Result: a partial run is
@@ -310,7 +327,10 @@ const DefaultBatchRecords = 4096
 //
 // The trace is drained in batches through trace.Batched, so sources that
 // batch natively (all workload generators, trace.Reader) feed the
-// simulator with no per-record interface calls.
+// simulator with no per-record interface calls. With no Exec set, an
+// exact run over a source that decodes on demand (see decodesOnDemand)
+// decodes it ahead on a second goroutine; the Result is the same either
+// way.
 func (r *Runner) RunContext(ctx context.Context, src trace.Source) (*Result, error) {
 	// Phase spans flow to any tracer on ctx (nil-safe no-ops otherwise);
 	// they never touch the Result, so sampled and exact outputs stay
@@ -323,26 +343,32 @@ func (r *Runner) RunContext(ctx context.Context, src trace.Source) (*Result, err
 		// are globally ordered (not lane-shardable).
 		return r.runSampled(ctx, src, ph)
 	}
-	if r.exec.active() {
-		r.pstats = PipelineStats{Lanes: 1}
-		lanes := r.laneCount()
-		if r.exec.DecodeAhead > 0 {
-			// Decode pipelining composes with either consumer below: the
-			// serial drain loop and the lane fan-out both consume the
-			// Prefetcher through its ViewSource fast path and see its
-			// latched Err like any erring source.
-			pf := trace.NewPrefetcher(src, r.exec.DecodeAhead, DefaultBatchRecords)
-			defer func() {
-				pf.Close()
-				d, s := pf.Stats()
-				r.pstats.DecodeStalls += d
-				r.pstats.SimStalls += s
-			}()
-			src = pf
-		}
-		if lanes > 1 {
-			return r.runParallel(ctx, src, ph, lanes)
-		}
+	depth, batch := r.exec.DecodeAhead, DefaultBatchRecords
+	if !r.exec.active() && decodesOnDemand(src) {
+		depth, batch = trace.DefaultDecodeAhead, autoAheadRecords
+	}
+	r.pstats = PipelineStats{}
+	lanes := 1
+	if r.exec.active() || depth > 0 {
+		r.pstats.Lanes = 1
+		lanes = r.laneCount()
+	}
+	if depth > 0 {
+		// Decode pipelining composes with either consumer below: the
+		// serial drain loop and the lane fan-out both consume the
+		// Prefetcher through its ViewSource fast path and see its
+		// latched Err like any erring source.
+		pf := trace.NewPrefetcher(src, depth, batch)
+		defer func() {
+			pf.Close()
+			d, s := pf.Stats()
+			r.pstats.DecodeStalls += d
+			r.pstats.SimStalls += s
+		}()
+		src = pf
+	}
+	if lanes > 1 {
+		return r.runParallel(ctx, src, ph, lanes)
 	}
 	ph.Enter("window")
 	every := r.progressEvery

@@ -19,12 +19,27 @@
 //     large block sizes).
 //
 // All generation is deterministic given Config.Seed.
+//
+// Every generator runs on the shared generation engine, which fills each
+// simulated CPU's records independently — on several goroutines at once
+// for large requests (ParallelFillRecords). New generators must keep two
+// invariants that make this exact:
+//
+//   - no mutable state shared across CPUs: an actor's op may change only
+//     its own captured state and draw only from the CPU's rng it is
+//     handed; structure layouts and parameters shared by all CPUs are
+//     read-only once the generator is built;
+//   - the round-robin interleave, which the engine owns: with N CPUs,
+//     record i of the trace is CPU i mod N's next access, stamped
+//     Seq = (i+1) × instructions per access.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -263,61 +278,106 @@ func newEngine(ec engineConfig) *engine {
 	return e
 }
 
-// Next implements trace.Source.
+// ParallelFillRecords is the smallest NextBatch request the engine splits
+// across goroutines. Whole-trace fills (the engine's trace memo,
+// smstrace gen, benchmark set-up) clear it; the simulator's per-batch
+// refills stay serial, because waking a second core costs more than
+// generating a few thousand records.
+const ParallelFillRecords = 1 << 16
+
+// Next implements trace.Source. It always generates on the calling
+// goroutine, so its one-record buffer stays on the stack.
 func (e *engine) Next() (trace.Record, bool) {
 	var one [1]trace.Record
-	if e.NextBatch(one[:]) == 0 {
+	n, c0, seq := e.claim(1)
+	if n == 0 {
 		return trace.Record{}, false
 	}
+	e.fillLanes(one[:], c0, seq, 0, 1)
 	return one[0], true
 }
 
 // NextBatch implements trace.BatchSource natively: the whole per-record
 // generation path (actor switch, queue refill, record stamping) runs in
-// one tight loop with no interface dispatch, and all four workload
+// tight per-CPU loops with no interface dispatch, and all four workload
 // families batch through it since every generator is an engine.
+//
+// CPUs interleave round-robin and each one's stream depends only on its
+// own state, so every CPU fills its own strided slots of dst. Requests of
+// at least ParallelFillRecords split the CPUs into contiguous groups, one
+// goroutine each (at most GOMAXPROCS); the output is byte-identical to a
+// serial fill.
 func (e *engine) NextBatch(dst []trace.Record) int {
-	n := 0
+	n, c0, seq := e.claim(len(dst))
+	lanes := min(n, len(e.cpus))
+	workers := 1
+	if n >= ParallelFillRecords {
+		workers = min(runtime.GOMAXPROCS(0), lanes)
+	}
+	if workers <= 1 {
+		e.fillLanes(dst[:n], c0, seq, 0, lanes)
+		return n
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(from, to int) {
+			defer wg.Done()
+			e.fillLanes(dst[:n], c0, seq, from, to)
+		}(w*lanes/workers, (w+1)*lanes/workers)
+	}
+	e.fillLanes(dst[:n], c0, seq, 0, lanes/workers)
+	wg.Wait()
+	return n
+}
+
+// claim reserves the next n (at most want) records of the trace and
+// returns n, the CPU of the first one, and the sequence number before it.
+func (e *engine) claim(want int) (n, c0 int, seq uint64) {
+	n = want
+	if uint64(n) > e.remaining {
+		n = int(e.remaining)
+	}
+	c0, seq = e.nextCPU, e.seq
+	e.remaining -= uint64(n)
+	e.nextCPU = (c0 + n) % len(e.cpus)
+	e.seq += uint64(n) * e.instrPerAccess
+	return n, c0, seq
+}
+
+// fillLanes generates lanes [from, to) of a claimed batch dst. Lane k
+// holds records k, k+ncpu, k+2·ncpu, … of the batch, all issued by CPU
+// (c0+k) mod ncpu; record i carries Seq seq+(i+1)·instrPerAccess.
+func (e *engine) fillLanes(dst []trace.Record, c0 int, seq uint64, from, to int) {
 	ncpu := len(e.cpus)
-	seq := e.seq
-	for n < len(dst) && e.remaining > 0 {
-		e.remaining--
-
-		cpu := e.nextCPU
-		e.nextCPU++
-		if e.nextCPU == ncpu {
-			e.nextCPU = 0
-		}
+	for k := from; k < to; k++ {
+		cpu := (c0 + k) % ncpu
 		cs := e.cpus[cpu]
-
-		if len(cs.actors) > 1 && cs.rng.Float64() < cs.switchProb {
-			cs.cur = cs.rng.Intn(len(cs.actors))
-		}
-		as := cs.actors[cs.cur]
-		for as.next >= len(as.queue) {
-			as.queue = as.op(cs.rng, as.queue[:0])
-			as.next = 0
-			if len(as.queue) == 0 {
-				// Defensive: an op that generates nothing would spin forever;
-				// emit a filler access instead.
-				as.queue = append(as.queue, access{pc: 0xdead0000, addr: 0})
+		for i := k; i < len(dst); i += ncpu {
+			if len(cs.actors) > 1 && cs.rng.Float64() < cs.switchProb {
+				cs.cur = cs.rng.Intn(len(cs.actors))
+			}
+			as := cs.actors[cs.cur]
+			for as.next >= len(as.queue) {
+				as.queue = as.op(cs.rng, as.queue[:0])
+				as.next = 0
+				if len(as.queue) == 0 {
+					// Defensive: an op that generates nothing would spin
+					// forever; emit a filler access instead.
+					as.queue = append(as.queue, access{pc: 0xdead0000, addr: 0})
+				}
+			}
+			a := as.queue[as.next]
+			as.next++
+			dst[i] = trace.Record{
+				Seq:  seq + uint64(i+1)*e.instrPerAccess,
+				PC:   a.pc,
+				Addr: a.addr,
+				CPU:  uint8(cpu),
+				Kind: kindOf(a.write),
 			}
 		}
-		a := as.queue[as.next]
-		as.next++
-
-		seq += e.instrPerAccess
-		dst[n] = trace.Record{
-			Seq:  seq,
-			PC:   a.pc,
-			Addr: a.addr,
-			CPU:  uint8(cpu),
-			Kind: kindOf(a.write),
-		}
-		n++
 	}
-	e.seq = seq
-	return n
 }
 
 func kindOf(write bool) trace.Kind {

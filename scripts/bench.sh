@@ -30,13 +30,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-HEADLINE='^(BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkFig8Training)$'
+HEADLINE='^(BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceGenerationBulk|BenchmarkTraceReplay|BenchmarkFig8Training)$'
 # Benchmarks that must not allocate per record in steady state (the
-# serial hot paths). The pipelined legs are gated separately: their
-# lane/prefetch setup reallocates per run and must amortize to
-# <= MAX_PIPELINE_ALLOCS allocations per record.
+# serial hot paths). The pipelined legs and the bulk generation leg are
+# gated separately: their lane/prefetch/fill goroutines are set up per
+# call and must amortize to <= MAX_PIPELINE_ALLOCS allocations per record.
 ZERO_ALLOC='BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay'
-PIPELINED='BenchmarkPipelinedThroughput'
+PIPELINED='BenchmarkPipelinedThroughput|BenchmarkTraceGenerationBulk'
 MAX_PIPELINE_ALLOCS=0.01
 
 run_bench() {
@@ -60,8 +60,8 @@ if [ "${1:-}" = "--check" ]; then
 	'
 	echo "bench allocation check passed: hot-path benchmarks run at 0 B/op, 0 allocs/op"
 
-	# Pipelined legs: lane runners and prefetch buffers reallocate per
-	# RunContext call, so instead of the integer allocs/op column (which
+	# Pipelined legs (and bulk generation): lane runners, prefetch
+	# buffers and fill goroutines are set up per call, so instead of the integer allocs/op column (which
 	# truncates to 0) the benchmark reports a float allocs/record metric;
 	# gate it at MAX_PIPELINE_ALLOCS to catch per-record allocations
 	# sneaking into the fan-out or lane loops.
